@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint lint-json lint-sarif lint-golden build test test-short race chaos soak soak-short bench bench-smoke parallel-report telemetry-report large-report sessions-report
+.PHONY: all ci vet lint lint-json lint-sarif lint-golden build test test-short race chaos fuzz-short soak soak-short bench bench-smoke parallel-report telemetry-report large-report sessions-report
 
 all: vet lint build test race
 
@@ -8,10 +8,10 @@ all: vet lint build test race
 # cheap fast-failing steps (build, vet, lint — including the
 # whole-program plaintaint/keyscope/cttaint/conccheck analysis) come before the
 # test suites, plus a -short -race pass over the full module, the
-# tiny-row medbench sweep that guards the BENCH JSON schema, and the
-# compressed chaos soak that gates the query-lifecycle recovery
-# contract.
-ci: build vet lint test race test-short bench-smoke soak-short
+# tiny-row medbench sweep that guards the BENCH JSON schema, a short
+# run of every native fuzz target, and the compressed chaos soak that
+# gates the query-lifecycle recovery contract.
+ci: build vet lint test race test-short bench-smoke fuzz-short soak-short
 
 vet:
 	$(GO) vet ./...
@@ -67,6 +67,26 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestSourceCrash|TestSilent|TestMediatorCrash' ./internal/mediation
 	$(GO) test -race -count=1 ./internal/session
+
+# Every native fuzz target, FUZZTIME each (go test -fuzz takes one
+# target in one package per run). Crashers land in the package's
+# testdata/fuzz/ and fail the run.
+FUZZTIME ?= 5s
+FUZZ_TARGETS = \
+	internal/crypto/hybrid:FuzzUnmarshalCiphertext \
+	internal/crypto/modexp:FuzzExpConstantTime \
+	internal/pm:FuzzUnpack \
+	internal/relation:FuzzDecodeValue \
+	internal/relation:FuzzDecodeTupleSet \
+	internal/relation:FuzzReadCSV \
+	internal/sqlparse:FuzzParse \
+	internal/transport:FuzzTCPFrame
+
+fuzz-short:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%%:*}; \
+	done
 
 # The query-lifecycle recovery gate (docs/RESILIENCE.md): the full chaos
 # soak — retry orchestration, per-peer circuit breakers, admission

@@ -198,8 +198,6 @@ type (
 	Conn = transport.Conn
 	// Listener accepts party connections.
 	Listener = transport.Listener
-	// RetryPolicy shapes DialRetry's backoff.
-	RetryPolicy = transport.RetryPolicy
 	// FaultPlan schedules deterministic fault injection on a link.
 	FaultPlan = transport.FaultPlan
 	// FaultClass enumerates injectable link faults.
@@ -211,8 +209,6 @@ type (
 var (
 	// Dial connects to a listening party.
 	Dial = transport.Dial
-	// DialRetry is Dial with capped exponential backoff between attempts.
-	DialRetry = transport.DialRetry
 	// Listen starts a party listener.
 	Listen = transport.Listen
 	// WrapFault injects scheduled faults into a link (tests, chaos drills).

@@ -178,8 +178,12 @@ func runQuery(args []string) error {
 	// the next attempt and its breaker fast-fails while the mediator
 	// stays down.
 	pool := &session.Pool{
-		Dial: func(addr string) (transport.Conn, error) {
-			return transport.DialRetry(addr, transport.RetryPolicy{Attempts: 2})
+		Dial: func(addr string) (conn transport.Conn, err error) {
+			_, err = resilience.Do(resilience.Policy{MaxAttempts: 2}, func(resilience.Attempt) error {
+				conn, err = transport.Dial(addr)
+				return err
+			})
+			return conn, err
 		},
 		Governor: resilience.NewBreakerSet(resilience.BreakerConfig{}),
 	}

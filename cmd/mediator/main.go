@@ -77,9 +77,17 @@ func main() {
 	// datasource stays down, sessions needing it fast-fail with
 	// resilience.ErrCircuitOpen instead of burning a dial timeout each,
 	// and sessions on healthy sources are unaffected.
-	pol := transport.RetryPolicy{Attempts: *retries, Telemetry: med.Telemetry}
+	// Each dial retries refused or failed connects with resilience.Do's
+	// capped jittered backoff before the breaker sees one failure.
+	dialPol := resilience.Policy{MaxAttempts: *retries}
 	pool := &session.Pool{
-		Dial:      func(addr string) (transport.Conn, error) { return transport.DialRetry(addr, pol) },
+		Dial: func(addr string) (conn transport.Conn, err error) {
+			_, err = resilience.Do(dialPol, func(resilience.Attempt) error {
+				conn, err = transport.Dial(addr)
+				return err
+			})
+			return conn, err
+		},
 		Governor:  resilience.NewBreakerSet(resilience.BreakerConfig{Telemetry: med.Telemetry}),
 		Telemetry: med.Telemetry,
 	}

@@ -372,16 +372,31 @@ func EncodeTupleSet(tuples []Tuple) []byte {
 	return out
 }
 
+// uvarint is binary.Uvarint restricted to minimal encodings (k <= 0
+// otherwise), so every accepted tuple set re-encodes to its input.
+func uvarint(b []byte) (uint64, int) {
+	v, k := binary.Uvarint(b)
+	if k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return v, k
+}
+
 // DecodeTupleSet parses an EncodeTupleSet blob against a schema.
 func DecodeTupleSet(s Schema, b []byte) ([]Tuple, error) {
-	n, k := binary.Uvarint(b)
+	n, k := uvarint(b)
 	if k <= 0 {
 		return nil, fmt.Errorf("relation: decode tuple set: bad count")
 	}
 	b = b[k:]
+	// Every entry takes at least its one-byte length prefix, so a larger
+	// count is corrupt and must not size the allocation.
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("relation: decode tuple set: count %d exceeds %d remaining bytes", n, len(b))
+	}
 	out := make([]Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
-		l, k := binary.Uvarint(b)
+		l, k := uvarint(b)
 		if k <= 0 || uint64(len(b[k:])) < l {
 			return nil, fmt.Errorf("relation: decode tuple set: truncated entry %d", i)
 		}

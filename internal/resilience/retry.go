@@ -170,8 +170,7 @@ func (p Policy) backoff(n int, next func() uint64) time.Duration {
 }
 
 // seqRand is a splitmix64 stream: deterministic jitter without
-// math/rand (banned by seclint's weakrand), matching the transport
-// dial-retry PRNG.
+// math/rand (banned by seclint's weakrand).
 type seqRand uint64
 
 func (s *seqRand) next() uint64 {

@@ -3,6 +3,7 @@ package resilience
 import (
 	"errors"
 	"fmt"
+	"syscall"
 	"testing"
 	"time"
 
@@ -178,5 +179,45 @@ func TestDoJitterDeterministic(t *testing.T) {
 		if a[i] > nominal || a[i] < nominal/2 {
 			t.Fatalf("jittered delay %v outside [%v, %v]", a[i], nominal/2, nominal)
 		}
+	}
+}
+
+func TestBackoffCappedAtMaxDelay(t *testing.T) {
+	pol := Policy{}.withDefaults()
+	rng := seqRand(1)
+	for n := 1; n <= 12; n++ {
+		if d := pol.backoff(n, rng.next); d > pol.MaxDelay {
+			t.Errorf("backoff(%d) = %v exceeds cap %v", n, d, pol.MaxDelay)
+		}
+	}
+}
+
+// TestDoRetriesRefusedDial pins the pooled-dial wrapper the party
+// commands use: a refused transport.Dial is retried up to MaxAttempts,
+// and exhaustion keeps the refusal on the chain.
+func TestDoRetriesRefusedDial(t *testing.T) {
+	l, err := transport.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr()
+	l.Close() // nothing listens there any more
+	var sleeps []time.Duration
+	pol := recordingPolicy(&sleeps)
+	pol.MaxAttempts = 3
+	dials := 0
+	res, err := Do(pol, func(Attempt) error {
+		dials++
+		conn, err := transport.Dial(addr)
+		if err == nil {
+			conn.Close()
+		}
+		return err
+	})
+	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("Do = %v, want exhaustion wrapping ECONNREFUSED", err)
+	}
+	if dials != 3 || res.Attempts != 3 || len(sleeps) != 2 {
+		t.Fatalf("dials=%d attempts=%d sleeps=%v, want 3 dials with 2 backoffs", dials, res.Attempts, sleeps)
 	}
 }

@@ -1,31 +1,15 @@
 package transport
 
-// seqRand is a tiny deterministic PRNG (splitmix64). It exists because
-// transport is a protocol-adjacent package where math/rand is lint-banned
-// (seclint weakrand) and crypto/rand would make retry jitter and fault
-// schedules unreproducible. It is used ONLY for backoff jitter and fault
-// injection schedules — never for key material, nonces or anything a
+// mix64 hashes a pair of values into one splitmix64 output. Fault
+// schedules use it to derive independent per-operation decisions from
+// one seed without shared mutable PRNG state; math/rand is lint-banned
+// here (seclint weakrand) and crypto/rand would make the schedules
+// unreproducible. Never used for key material, nonces or anything a
 // protocol peer observes as a security value.
-type seqRand struct{ state uint64 }
-
-// next returns the next 64-bit value of the sequence.
-func (r *seqRand) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+func mix64(a, b uint64) uint64 {
+	z := a ^ (b * 0x9e3779b97f4a7c15)
+	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// float returns a uniform value in [0, 1).
-func (r *seqRand) float() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// mix64 hashes a pair of values into a single splitmix64 output; used to
-// derive independent per-operation decisions from one seed without shared
-// mutable PRNG state.
-func mix64(a, b uint64) uint64 {
-	r := seqRand{state: a ^ (b * 0x9e3779b97f4a7c15)}
-	return r.next()
 }

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -138,35 +140,39 @@ func TestTCPRecvErrorWrapped(t *testing.T) {
 	c := WrapNetConn(p2)
 	defer c.Close()
 	go func() {
-		// A plausible frame header followed by garbage: the decoder fails
-		// mid-frame, which must surface as a wrapped transport error.
-		p1.Write([]byte{0x04, 0xff, 0xff, 0xff, 0xff})
+		// A plausible frame header followed by too few bytes: the read
+		// fails mid-frame, which must surface as a wrapped transport error.
+		p1.Write(frameHeader(4, 255))
+		p1.Write([]byte{0xff, 0xff, 0xff, 0xff})
 		p1.Close()
 	}()
 	_, err := c.Recv()
 	if err == nil || err == io.EOF {
-		t.Fatalf("garbage stream decoded: %v", err)
+		t.Fatalf("truncated stream decoded: %v", err)
 	}
 	if !strings.Contains(err.Error(), "transport: tcp recv:") {
 		t.Errorf("decode error not wrapped: %v", err)
 	}
 }
 
+// frameHeader hand-builds a frame header declaring the given type-tag
+// and body lengths.
+func frameHeader(tagLen uint32, bodyLen uint64) []byte {
+	hdr := binary.BigEndian.AppendUint32(nil, tagLen)
+	return binary.BigEndian.AppendUint64(hdr, bodyLen)
+}
+
 // ---------------------------------------------------------------------------
 // Message size limit.
 
-// TestTCPOversizedHeader feeds a hand-built gob length prefix declaring a
-// terabyte-scale frame: Recv must reject it from the 7-byte header alone,
-// before any allocation, and the connection stays poisoned.
+// TestTCPOversizedHeader feeds a hand-built frame header declaring a
+// terabyte-scale body: Recv must reject it from the 12-byte header
+// alone, before any allocation, and the connection stays poisoned.
 func TestTCPOversizedHeader(t *testing.T) {
 	p1, p2 := net.Pipe()
 	c := WrapNetConnLimit(p2, 1<<20)
 	defer c.Close()
-	go func() {
-		// Unsigned varint per gob: 0xfa = 256-6 → six big-endian bytes
-		// follow; value 1<<40.
-		p1.Write([]byte{0xfa, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00})
-	}()
+	go p1.Write(frameHeader(0, 1<<40))
 	_, err := c.Recv()
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("recv of declared 1 TiB frame = %v, want ErrTooLarge", err)
@@ -177,6 +183,32 @@ func TestTCPOversizedHeader(t *testing.T) {
 	// Poisoned: the stream position inside the giant frame is lost.
 	if _, err := c.Recv(); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("second recv = %v, want sticky ErrTooLarge", err)
+	}
+}
+
+// TestTCPDeclaredSizeDoesNotDriveAllocation sends a header declaring a
+// frame just under the default limit, a few bytes, then closes. The
+// receiver must fail with a wrapped truncation error having allocated
+// only what arrived, not the 256 MiB the peer claimed: every
+// unauthenticated link gets to send one such header before admission.
+func TestTCPDeclaredSizeDoesNotDriveAllocation(t *testing.T) {
+	p1, p2 := net.Pipe()
+	c := WrapNetConn(p2)
+	defer c.Close()
+	go func() {
+		p1.Write(frameHeader(0, DefaultMaxMessage-1))
+		p1.Write([]byte("a few bytes"))
+		p1.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Recv()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "transport: tcp recv:") {
+		t.Fatalf("recv of truncated giant frame = %v, want wrapped unexpected EOF", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Errorf("receiver allocated %d bytes for an 11-byte body, want < 4 MiB", delta)
 	}
 }
 
@@ -210,121 +242,6 @@ func TestTCPLimitAllowsNormalTraffic(t *testing.T) {
 	m, err := receiver.Recv()
 	if err != nil || m.Type != "ok" || len(m.Body) != 32<<10 {
 		t.Fatalf("recv under limit = %v, %v", m.Type, err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// DialRetry.
-
-type flakyDialer struct {
-	failures int
-	calls    int
-}
-
-func (f *flakyDialer) dial(addr string) (Conn, error) {
-	f.calls++
-	if f.calls <= f.failures {
-		return nil, errors.New("connection refused")
-	}
-	a, b := Pair()
-	_ = b // the far end is irrelevant here
-	return a, nil
-}
-
-func TestDialRetryEventualSuccess(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	d := &flakyDialer{failures: 2}
-	var slept []time.Duration
-	pol := RetryPolicy{
-		Attempts:  5,
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  3 * time.Second,
-		Seed:      42,
-		Sleep:     func(d time.Duration) { slept = append(slept, d) },
-		Dial:      d.dial,
-		Telemetry: reg,
-	}
-	conn, err := DialRetry("db1:9000", pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	if d.calls != 3 {
-		t.Errorf("dial calls = %d, want 3", d.calls)
-	}
-	if len(slept) != 2 {
-		t.Fatalf("sleeps = %v, want 2 backoffs", slept)
-	}
-	// Jittered exponential backoff: each delay lands in [base·mult^i/2,
-	// base·mult^i] with the default 0.5 jitter.
-	for i, s := range slept {
-		ideal := 100 * time.Millisecond << i
-		if s < ideal/2 || s > ideal {
-			t.Errorf("backoff %d = %v, want within [%v, %v]", i, s, ideal/2, ideal)
-		}
-	}
-	if got := reg.Counter("transport_dial_attempts", "addr", "db1:9000").Value(); got != 3 {
-		t.Errorf("attempts counter = %d, want 3", got)
-	}
-	if got := reg.Counter("transport_dial_retries", "addr", "db1:9000").Value(); got != 2 {
-		t.Errorf("retries counter = %d, want 2", got)
-	}
-	if got := reg.Counter("transport_dial_failures", "addr", "db1:9000").Value(); got != 0 {
-		t.Errorf("failures counter = %d, want 0", got)
-	}
-}
-
-func TestDialRetryDeterministicSchedule(t *testing.T) {
-	schedule := func() []time.Duration {
-		var slept []time.Duration
-		pol := RetryPolicy{
-			Attempts: 4,
-			Seed:     7,
-			Sleep:    func(d time.Duration) { slept = append(slept, d) },
-			Dial:     func(string) (Conn, error) { return nil, errors.New("down") },
-		}
-		DialRetry("db2:9000", pol)
-		return slept
-	}
-	first, second := schedule(), schedule()
-	if len(first) != 3 {
-		t.Fatalf("backoffs = %v, want 3", first)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Errorf("schedule not deterministic at %d: %v vs %v", i, first[i], second[i])
-		}
-	}
-}
-
-func TestDialRetryExhaustion(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sentinel := errors.New("network unreachable")
-	pol := RetryPolicy{
-		Attempts:  3,
-		Sleep:     func(time.Duration) {},
-		Dial:      func(string) (Conn, error) { return nil, sentinel },
-		Telemetry: reg,
-	}
-	_, err := DialRetry("db3:9000", pol)
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("exhaustion error = %v, want to wrap the last dial error", err)
-	}
-	if !strings.Contains(err.Error(), "gave up after 3 attempts") {
-		t.Errorf("error missing attempt count: %v", err)
-	}
-	if got := reg.Counter("transport_dial_failures", "addr", "db3:9000").Value(); got != 1 {
-		t.Errorf("failures counter = %d, want 1", got)
-	}
-}
-
-func TestBackoffCappedAtMaxDelay(t *testing.T) {
-	pol := RetryPolicy{}.withDefaults("x")
-	rng := seqRand{state: 1}
-	for i := 0; i < 12; i++ {
-		if d := pol.backoff(&rng, i); d > pol.MaxDelay {
-			t.Errorf("backoff(%d) = %v exceeds cap %v", i, d, pol.MaxDelay)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package transport
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,154 +13,113 @@ import (
 	"time"
 )
 
-// DefaultMaxMessage is the inbound gob frame size limit applied by Dial,
+// DefaultMaxMessage is the inbound frame size limit applied by Dial,
 // Accept and WrapNetConn. Generous: the largest legitimate payloads (full
 // encrypted relations in the PM and commutative protocols) stay well
 // under it, while a hostile length prefix claiming gigabytes is rejected
 // before any allocation.
 const DefaultMaxMessage = 256 << 20 // 256 MiB
 
-// countingWriter counts every byte that actually leaves for the wire —
-// including gob's type descriptors and frame headers, which
-// Message.size() knows nothing about.
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Int64
-}
+// frameHeaderLen is the fixed TCP frame header: the type-tag length as a
+// big-endian u32, then the body length as a big-endian u64. The tag and
+// the body follow verbatim, so one frame is exactly
+// frameHeaderLen + Message.Size() bytes on the wire.
+const frameHeaderLen = 12
 
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n.Add(int64(n))
-	return n, err
-}
+// firstChunk bounds the buffer allocated for an inbound frame before its
+// bytes arrive. The buffer then doubles as the peer actually delivers,
+// so a header that declares a huge frame and then stalls or closes costs
+// the receiver at most this much.
+const firstChunk = 1 << 20
 
-// countingReader counts every byte consumed from the wire. Frames are
-// read exactly (no read-ahead, see frameLimitReader), so after a message
-// is fully decoded the count covers everything the peer sent for it.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n.Add(int64(n))
-	return n, err
-}
-
-// frameLimitReader sits between the wire and the gob decoder. It parses
-// gob's own framing — an unsigned varint byte count followed by that many
-// bytes — and rejects frames whose declared size exceeds max BEFORE
-// reading or allocating the body, so a hostile length prefix cannot OOM
-// the receiving party (gob itself allocates up to 1 GiB on trust).
-//
-// It implements io.ByteReader so the gob decoder uses it directly instead
-// of wrapping it in a read-ahead bufio.Reader; reads therefore consume
-// the underlying stream exactly frame by frame, which keeps the counting
-// reader's wire-byte accounting exact.
-type frameLimitReader struct {
-	r   io.Reader
-	max int64
-	buf []byte // unread remainder of the current frame
-	err error  // sticky: set once the stream position is unrecoverable
-}
-
-// noEOF converts a clean-EOF mid-structure into ErrUnexpectedEOF so it is
-// never mistaken for an orderly peer shutdown.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// writeFrame writes m to w as one frame: header, tag and body go out in
+// a single vectored write, without copying the body.
+func writeFrame(w io.Writer, m Message) (int64, error) {
+	if uint64(len(m.Type)) > math.MaxUint32 {
+		return 0, fmt.Errorf("transport: %d-byte type tag exceeds the frame format", len(m.Type))
 	}
-	return err
+	var hdr [frameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(m.Type)))
+	binary.BigEndian.PutUint64(hdr[4:12], uint64(len(m.Body)))
+	// Empty parts are left out: some net.Conns (net.Pipe) turn a
+	// zero-length Write into a rendezvous with the reader.
+	bufs := net.Buffers{hdr[:]}
+	if m.Type != "" {
+		bufs = append(bufs, []byte(m.Type))
+	}
+	if len(m.Body) > 0 {
+		bufs = append(bufs, m.Body)
+	}
+	return bufs.WriteTo(w)
 }
 
-// fill reads the next frame header and body into buf. An error before the
-// first header byte (clean close, recv timeout with nothing consumed) is
-// returned as-is and is NOT sticky: the stream is still aligned and a
-// later Recv may proceed. Any failure after the first byte poisons the
-// reader — the position inside the stream is lost.
-func (f *frameLimitReader) fill() error {
-	var hdr [9]byte
-	if _, err := io.ReadFull(f.r, hdr[:1]); err != nil {
-		return err
+// readFrame reads one frame from r, rejecting a declared tag-plus-body
+// size above limit from the header alone. n counts the bytes consumed:
+// an error with n == 0 left the stream aligned at a frame boundary (a
+// clean close surfaces as bare io.EOF), while an error with n > 0 lost
+// the stream position.
+func readFrame(r io.Reader, limit int64) (m Message, n int64, err error) {
+	var hdr [frameHeaderLen]byte
+	k, err := io.ReadFull(r, hdr[:])
+	n = int64(k)
+	if err != nil {
+		if k > 0 {
+			err = fmt.Errorf("transport: truncated frame header: %w", err)
+		}
+		return Message{}, n, err
 	}
-	hlen, size := 1, int64(hdr[0])
-	if hdr[0] > 0x7f {
-		// gob encodes uints >= 128 as (256 - byteCount) followed by the
-		// value in big-endian bytes.
-		n := 256 - int(hdr[0])
-		if n < 1 || n > 8 {
-			f.err = fmt.Errorf("transport: corrupt gob frame header byte 0x%02x", hdr[0])
-			return f.err
+	tagLen := uint64(binary.BigEndian.Uint32(hdr[0:4]))
+	bodyLen := binary.BigEndian.Uint64(hdr[4:12])
+	if bodyLen > uint64(limit) || tagLen > uint64(limit)-bodyLen {
+		return Message{}, n, fmt.Errorf("%w: frame declares %d+%d bytes, limit %d", ErrTooLarge, tagLen, bodyLen, limit)
+	}
+	buf, err := readGrowing(r, int(tagLen+bodyLen))
+	n += int64(len(buf))
+	if err != nil {
+		return Message{}, n, fmt.Errorf("transport: truncated frame: %w", err)
+	}
+	m.Type = string(buf[:tagLen])
+	if bodyLen > 0 {
+		m.Body = buf[tagLen:]
+	}
+	return m, n, nil
+}
+
+// readGrowing reads exactly size bytes from r. The buffer starts at
+// min(size, firstChunk) and doubles only as bytes arrive, so memory
+// follows what the peer sent rather than what it declared. On error it
+// returns the bytes read so far and io.ErrUnexpectedEOF for a short
+// stream.
+func readGrowing(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, 0, min(size, firstChunk))
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(size, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
 		}
-		if _, err := io.ReadFull(f.r, hdr[1:1+n]); err != nil {
-			f.err = fmt.Errorf("transport: truncated gob frame header: %w", noEOF(err))
-			return f.err
-		}
-		hlen += n
-		size = 0
-		for _, b := range hdr[1:hlen] {
-			if size > math.MaxInt64>>8 {
-				size = math.MaxInt64
-				break
+		k, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			size = size<<8 | int64(b)
+			return buf, err
 		}
 	}
-	if size > f.max {
-		f.err = fmt.Errorf("%w: frame declares %d bytes, limit %d", ErrTooLarge, size, f.max)
-		return f.err
-	}
-	// Buffer the header back in front of the body: the gob decoder parses
-	// the length prefix itself, so the stream it sees must be byte-exact.
-	frame := make([]byte, hlen+int(size))
-	copy(frame, hdr[:hlen])
-	if _, err := io.ReadFull(f.r, frame[hlen:]); err != nil {
-		f.err = fmt.Errorf("transport: truncated gob frame: %w", noEOF(err))
-		return f.err
-	}
-	f.buf = frame
-	return nil
+	return buf, nil
 }
 
-func (f *frameLimitReader) Read(p []byte) (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	for len(f.buf) == 0 {
-		if err := f.fill(); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, f.buf)
-	f.buf = f.buf[n:]
-	return n, nil
-}
-
-func (f *frameLimitReader) ReadByte() (byte, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	for len(f.buf) == 0 {
-		if err := f.fill(); err != nil {
-			return 0, err
-		}
-	}
-	b := f.buf[0]
-	f.buf = f.buf[1:]
-	return b, nil
-}
-
-// tcpConn adapts a net.Conn to the Conn interface with gob framing. The
-// gob streams run through counting wrappers, so Stats reports true wire
-// bytes (framing, type descriptors and all) rather than the payload
-// approximation the in-memory transport uses.
+// tcpConn adapts a net.Conn to the Conn interface with length-prefixed
+// frames. Stats counts every byte that crosses the wire, headers
+// included, rather than the payload approximation the in-memory
+// transport uses.
 type tcpConn struct {
 	nc        net.Conn
-	enc       *gob.Encoder
-	dec       *gob.Decoder
+	limit     int64 // inbound frame size limit
 	sendMu    sync.Mutex
 	recvMu    sync.Mutex
+	recvErr   error        // sticky: set once a partial frame lost the stream position
 	timeout   atomic.Int64 // nanoseconds; 0 disables
 	stats     Stats
 	closeOnce sync.Once
@@ -176,8 +135,8 @@ func Dial(addr string) (Conn, error) {
 	return WrapNetConn(nc), nil
 }
 
-// WrapNetConn turns any net.Conn into a transport Conn (gob-framed) with
-// the DefaultMaxMessage inbound frame limit.
+// WrapNetConn turns any net.Conn into a transport Conn (length-prefixed
+// frames) with the DefaultMaxMessage inbound frame limit.
 func WrapNetConn(nc net.Conn) Conn {
 	return WrapNetConnLimit(nc, DefaultMaxMessage)
 }
@@ -188,13 +147,7 @@ func WrapNetConnLimit(nc net.Conn, maxMessage int64) Conn {
 	if maxMessage <= 0 {
 		maxMessage = DefaultMaxMessage
 	}
-	c := &tcpConn{nc: nc}
-	c.enc = gob.NewEncoder(countingWriter{w: nc, n: &c.stats.bytesSent})
-	c.dec = gob.NewDecoder(&frameLimitReader{
-		r:   countingReader{r: nc, n: &c.stats.bytesRecv},
-		max: maxMessage,
-	})
-	return c
+	return &tcpConn{nc: nc, limit: maxMessage}
 }
 
 // Listener accepts party connections.
@@ -242,13 +195,14 @@ func (c *tcpConn) armDeadline(set func(time.Time) error) {
 	}
 }
 
-// Send implements Conn. Byte accounting happens in the counting writer
-// under the gob encoder; only the message count is bumped here.
+// Send implements Conn.
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.armDeadline(c.nc.SetWriteDeadline)
-	if err := c.enc.Encode(m); err != nil {
+	n, err := writeFrame(c.nc, m)
+	c.stats.bytesSent.Add(n)
+	if err != nil {
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			return fmt.Errorf("transport: tcp send: %w", ErrTimeout)
 		}
@@ -258,31 +212,40 @@ func (c *tcpConn) Send(m Message) error {
 	return nil
 }
 
-// Recv implements Conn. Byte accounting happens in the counting reader
-// under the gob decoder; only the message count is bumped here.
+// Recv implements Conn.
 //
 // Error mapping mirrors the in-memory transport: an orderly peer shutdown
 // between messages surfaces as bare io.EOF; a timeout surfaces as an
 // error matching ErrTimeout; everything else is wrapped with recv
-// context.
+// context. A failure after the first byte of a frame is sticky: every
+// later Recv repeats it, because the stream position is lost.
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	c.armDeadline(c.nc.SetReadDeadline)
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		switch {
-		case err == io.EOF:
-			// Clean close at a message boundary — parity with chanConn.
-			return Message{}, io.EOF
-		case errors.Is(err, os.ErrDeadlineExceeded):
-			return Message{}, fmt.Errorf("transport: tcp recv: %w", ErrTimeout)
-		default:
-			return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
+	err := c.recvErr
+	if err == nil {
+		c.armDeadline(c.nc.SetReadDeadline)
+		var m Message
+		var n int64
+		m, n, err = readFrame(c.nc, c.limit)
+		c.stats.bytesRecv.Add(n)
+		if err == nil {
+			c.stats.msgsRecv.Add(1)
+			return m, nil
+		}
+		if n > 0 {
+			c.recvErr = err
 		}
 	}
-	c.stats.msgsRecv.Add(1)
-	return m, nil
+	switch {
+	case err == io.EOF:
+		// Clean close at a message boundary — parity with chanConn.
+		return Message{}, io.EOF
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return Message{}, fmt.Errorf("transport: tcp recv: %w", ErrTimeout)
+	default:
+		return Message{}, fmt.Errorf("transport: tcp recv: %w", err)
+	}
 }
 
 // Expect implements Conn.

@@ -1,8 +1,9 @@
 // Package transport provides the message-passing fabric between the
 // mediation parties (client, mediator, datasources): typed message
 // envelopes, an in-memory duplex channel pair for single-process runs and
-// tests, a TCP/gob transport for multi-process deployment, and per-link
-// traffic accounting used by the Section 6 cost experiments.
+// tests, a TCP transport carrying each message as one length-prefixed
+// frame for multi-process deployment, and per-link traffic accounting
+// used by the Section 6 cost experiments.
 package transport
 
 import (
@@ -77,20 +78,17 @@ func Decode(b []byte, v any) error {
 // message body by NewMessage and verified by Payload.
 const sumLen = 8
 
-// seal prefixes a payload with its FNV-1a digest. The digest detects
+// digest is the FNV-1a sum prefixed to every message body. It detects
 // accidental in-flight corruption and truncation (so protocols fail
 // typed instead of computing on mangled inputs); it is NOT a MAC —
 // tamper resistance comes from the hybrid-encryption layer above, per
 // the paper's trust model.
-func seal(payload []byte) []byte {
+func digest(payload []byte) uint64 {
 	h := fnv.New64a()
 	if _, err := h.Write(payload); err != nil {
 		panic("transport: fnv write: " + err.Error())
 	}
-	out := make([]byte, sumLen+len(payload))
-	binary.BigEndian.PutUint64(out, h.Sum64())
-	copy(out[sumLen:], payload)
-	return out
+	return h.Sum64()
 }
 
 // Payload verifies a received message's integrity digest and returns
@@ -100,11 +98,7 @@ func Payload(m Message) ([]byte, error) {
 	if len(m.Body) < sumLen {
 		return nil, fmt.Errorf("message %q: %d-byte body: %w", m.Type, len(m.Body), ErrIntegrity)
 	}
-	h := fnv.New64a()
-	if _, err := h.Write(m.Body[sumLen:]); err != nil {
-		panic("transport: fnv write: " + err.Error())
-	}
-	if binary.BigEndian.Uint64(m.Body) != h.Sum64() {
+	if binary.BigEndian.Uint64(m.Body) != digest(m.Body[sumLen:]) {
 		return nil, fmt.Errorf("message %q: %w", m.Type, ErrIntegrity)
 	}
 	return m.Body[sumLen:], nil
@@ -113,11 +107,15 @@ func Payload(m Message) ([]byte, error) {
 // NewMessage builds a message with an encoded, integrity-sealed body.
 // seclint:wire gob-encodes the payload for a link
 func NewMessage(typ string, v any) (Message, error) {
-	b, err := Encode(v)
-	if err != nil {
-		return Message{}, err
+	// Encode behind a reserved digest slot, so the payload is never
+	// copied to make room for it.
+	buf := bytes.NewBuffer(make([]byte, sumLen))
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		return Message{}, fmt.Errorf("transport: encode: %w", err)
 	}
-	return Message{Type: typ, Body: seal(b)}, nil
+	body := buf.Bytes()
+	binary.BigEndian.PutUint64(body, digest(body[sumLen:]))
+	return Message{Type: typ, Body: body}, nil
 }
 
 // Conn is one endpoint of a duplex party-to-party link.

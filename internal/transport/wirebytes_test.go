@@ -39,9 +39,8 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 }
 
 // The TCP transport must account the bytes that actually cross the wire:
-// gob framing, type descriptors and all — strictly more than the
-// in-memory transport's len(Type)+len(Body) approximation, and identical
-// on both ends of the link.
+// one frame is exactly the 12-byte header plus the in-memory transport's
+// len(Type)+len(Body), and both ends of the link count the same stream.
 func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 	client, server := tcpPair(t)
 
@@ -66,26 +65,25 @@ func TestTCPWireBytesExceedPayloadBytes(t *testing.T) {
 		}
 	}
 
-	tcpSent := client.Stats().BytesSent()
-	memSent := memA.Stats().BytesSent()
-	if tcpSent <= memSent {
-		t.Errorf("tcp wire bytes (%d) not greater than payload bytes (%d): framing overhead vanished", tcpSent, memSent)
+	want := frameHeaderLen*rounds + memA.Stats().BytesSent()
+	if got := client.Stats().BytesSent(); got != want {
+		t.Errorf("sender counted %d wire bytes, want 12·%d + %d = %d", got, rounds, memA.Stats().BytesSent(), want)
 	}
-	// Both ends of the TCP link have seen the same stream, so the
-	// sender's wire-byte count and the receiver's must agree exactly.
-	if got := server.Stats().BytesRecv(); got != tcpSent {
-		t.Errorf("receiver counted %d wire bytes, sender %d", got, tcpSent)
+	if got := server.Stats().BytesRecv(); got != want {
+		t.Errorf("receiver counted %d wire bytes, want %d", got, want)
 	}
 	// Replies flow the other way with the same properties.
-	if err := server.Send(Message{Type: "reply", Body: make([]byte, 64)}); err != nil {
+	reply := Message{Type: "reply", Body: make([]byte, 64)}
+	if err := server.Send(reply); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Recv(); err != nil {
 		t.Fatal(err)
 	}
-	if client.Stats().BytesRecv() != server.Stats().BytesSent() {
-		t.Errorf("reply direction disagrees: client recv %d, server sent %d",
-			client.Stats().BytesRecv(), server.Stats().BytesSent())
+	want = int64(frameHeaderLen + reply.Size())
+	if client.Stats().BytesRecv() != want || server.Stats().BytesSent() != want {
+		t.Errorf("reply direction: client recv %d, server sent %d, want %d",
+			client.Stats().BytesRecv(), server.Stats().BytesSent(), want)
 	}
 }
 
